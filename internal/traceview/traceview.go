@@ -10,8 +10,12 @@
 //
 // Critical-path attribution is reducer-centric: a consensus round ends when
 // the LAST share lands at the reducer, so the mapper behind that share is the
-// round's critical-path node (the straggler). Its round time is split into
-// the segments the flight recorder can see:
+// round's critical-path node (the straggler). One happens-before edge is
+// followed past it: a mapper cannot take its first broadcast before its
+// setup seed handshake completes, so when that handshake finished after the
+// broadcast was sent and the seed it waited on last was sent after its own
+// seeds went out, the peer that sent that seed is the straggler instead. The
+// gating share's time is split into the segments the flight recorder can see:
 //
 //	solve   — the straggler's local subproblem time (solve.start→solve.end)
 //	mask    — its mask/share derivation time (mask.start→mask.end)
@@ -44,6 +48,7 @@ const (
 	kindPlainShare  = "mr.plainshare"
 	kindCipherShare = "mr.ciphershare"
 	kindStop        = "mr.stop"
+	kindBroadcast   = "mr.broadcast"
 )
 
 // setupRound tags pre-round handshake events (securesum.SetupRound).
@@ -77,7 +82,8 @@ func ReadDump(r io.Reader) (*Dump, error) {
 // round and the segment split of its time.
 type CriticalPath struct {
 	// Straggler is the critical-path node — the mapper whose share was the
-	// last the reducer folded.
+	// last the reducer folded, or the peer whose late setup seed held that
+	// mapper back.
 	Straggler string `json:"straggler"`
 	// Total is round start (reducer round.start) to the gating share's
 	// arrival at the reducer.
@@ -203,7 +209,7 @@ func buildTimeline(trace telemetry.TraceID, events []telemetry.JournalEvent) *Ti
 	for _, n := range order {
 		r := rounds[n]
 		r.Start, r.End = roundBounds(r.Events)
-		r.Critical = attribute(r)
+		r.Critical = attribute(r, tl.Setup)
 		tl.Rounds = append(tl.Rounds, *r)
 	}
 	for n := range nodes {
@@ -237,8 +243,9 @@ func roundBounds(events []telemetry.JournalEvent) (start, end time.Time) {
 }
 
 // attribute computes the round's critical path, or nil when the round has no
-// share arrivals (aborted or trimmed by the ring).
-func attribute(r *Round) *CriticalPath {
+// share arrivals (aborted or trimmed by the ring). setup holds the timeline's
+// handshake events, through which a round-0 stall is traced to its source.
+func attribute(r *Round, setup []telemetry.JournalEvent) *CriticalPath {
 	// The gate: the last share the reducer received. net.recv at the reducer
 	// covers every engine and aggregation mode uniformly.
 	var gate *telemetry.JournalEvent
@@ -253,11 +260,12 @@ func attribute(r *Round) *CriticalPath {
 	if gate == nil {
 		return nil
 	}
-	cp := &CriticalPath{Straggler: gate.Peer, Total: gate.Time.Sub(r.Start)}
+	sender := gate.Peer
+	cp := &CriticalPath{Straggler: setupBlocker(sender, r, setup), Total: gate.Time.Sub(r.Start)}
 	if cp.Total < 0 {
 		cp.Total = 0
 	}
-	// The straggler's own segments within the round. Durations ride on the
+	// The gating sender's own segments within the round. Durations ride on the
 	// *.end events (Value, in seconds). In bounded-staleness mode the solve
 	// for this round may have happened rounds ago on the worker — no solve
 	// events under this round number means solve time zero and the difference
@@ -265,7 +273,7 @@ func attribute(r *Round) *CriticalPath {
 	var lastSend *telemetry.JournalEvent
 	for i := range r.Events {
 		e := &r.Events[i]
-		if e.Node != cp.Straggler {
+		if e.Node != sender {
 			continue
 		}
 		switch e.Event {
@@ -287,6 +295,46 @@ func attribute(r *Round) *CriticalPath {
 		cp.Wait = 0
 	}
 	return cp
+}
+
+// setupBlocker follows the seed-handshake edge out of node: it returns the
+// peer whose seed node received last, when node's handshake completed after
+// the round's broadcast to it was sent (the handshake, not the broadcast,
+// held node back) and that seed was sent after node's own seeds went out
+// (node sat waiting for it rather than on its own sends). Otherwise node
+// itself is the straggler.
+func setupBlocker(node string, r *Round, setup []telemetry.JournalEvent) string {
+	var bcast, done, ownSent, lastRecv *telemetry.JournalEvent
+	for i := range r.Events {
+		e := &r.Events[i]
+		if e.Node == "reducer" && e.Event == "net.send" && e.Kind == kindBroadcast && e.Peer == node {
+			bcast = e
+		}
+	}
+	for i := range setup {
+		e := &setup[i]
+		if e.Node != node {
+			continue
+		}
+		switch e.Event {
+		case "handshake.done":
+			done = e
+		case "seed.sent":
+			ownSent = e
+		case "seed.recv":
+			lastRecv = e
+		}
+	}
+	if bcast == nil || done == nil || ownSent == nil || lastRecv == nil || !done.Time.After(bcast.Time) {
+		return node
+	}
+	for i := range setup {
+		e := &setup[i]
+		if e.Node == lastRecv.Peer && e.Event == "seed.sent" && e.Peer == node && e.Time.After(ownSent.Time) {
+			return lastRecv.Peer
+		}
+	}
+	return node
 }
 
 // SegmentSummary is the distribution of one critical-path segment across a
