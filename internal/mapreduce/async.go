@@ -23,9 +23,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // asyncJob is one compute request: the round and a private copy of its state.
@@ -47,12 +44,7 @@ type asyncResult struct {
 // goroutine with a newest-wins job queue of depth one. All other methods
 // must be called from the protocol-loop goroutine.
 type asyncComputer struct {
-	mapper   IterativeMapper
-	retries  int
-	retryCtr *telemetry.Counter
-	journal  *telemetry.Journal
-	node     string
-	trace    telemetry.TraceID
+	solver
 
 	jobs    chan asyncJob
 	results chan asyncResult
@@ -64,15 +56,10 @@ type asyncComputer struct {
 	stamp   [1]byte   // reused ready-declaration staleness stamp
 }
 
-func newAsyncComputer(mapper IterativeMapper, retries int, retryCtr *telemetry.Counter, journal *telemetry.Journal, node string, trace telemetry.TraceID) *asyncComputer {
+func newAsyncComputer(s solver) *asyncComputer {
 	c := &asyncComputer{
-		mapper:   mapper,
-		retries:  retries,
-		retryCtr: retryCtr,
-		journal:  journal,
-		node:     node,
-		trace:    trace,
-		jobs:     make(chan asyncJob, 1),
+		solver: s,
+		jobs:   make(chan asyncJob, 1),
 		// Capacity bounds the worker's undelivered backlog (≤ 1 queued job +
 		// 1 in flight) so the worker always exits after close(jobs) even if
 		// the protocol loop already unwound.
@@ -83,29 +70,16 @@ func newAsyncComputer(mapper IterativeMapper, retries int, retryCtr *telemetry.C
 	return c
 }
 
-// worker drains jobs in order, retrying each Contribution up to the budget.
-// A terminal error is delivered as a result and stops the worker.
+// worker drains jobs in order through the shared retry loop. A terminal
+// error is delivered as a result and stops the worker.
 func (c *asyncComputer) worker() {
 	defer close(c.done)
 	for j := range c.jobs {
-		var contrib []float64
-		var err error
-		//ppml:flow-ok the job's round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		c.journal.Emit(c.node, "solve.start", c.trace, int32(j.iter), 0, "", "", 0, 0)
-		solveStart := time.Now()
-		for attempt := 0; ; attempt++ {
-			contrib, err = c.mapper.Contribution(j.iter, j.state)
-			if err == nil {
-				break
-			}
-			if attempt >= c.retries {
-				c.results <- asyncResult{iter: j.iter, err: err}
-				return
-			}
-			c.retryCtr.Inc()
+		contrib, err := c.contribute(j.iter, j.state)
+		if err != nil {
+			c.results <- asyncResult{iter: j.iter, err: err}
+			return
 		}
-		//ppml:flow-ok the job's round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		c.journal.Emit(c.node, "solve.end", c.trace, int32(j.iter), 0, "", "", 0, time.Since(solveStart).Seconds())
 		// The mapper's return value aliases buffers its next solve will
 		// overwrite; the result must own its bytes.
 		c.results <- asyncResult{iter: j.iter, contrib: append([]float64(nil), contrib...)}

@@ -262,7 +262,7 @@ func TestAsyncComputerNewestWins(t *testing.T) {
 	t.Parallel()
 	reg := telemetry.NewRegistry()
 	mp := &gatedMapper{started: make(chan int), release: make(chan struct{})}
-	c := newAsyncComputer(mp, 0, reg.Counter("retries"), nil, "mapper-0", telemetry.TraceID{})
+	c := newAsyncComputer(solver{mapper: mp, retryCtr: reg.Counter("retries"), node: "mapper-0"})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

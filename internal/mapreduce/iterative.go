@@ -1,13 +1,21 @@
+// Package mapreduce is the execution substrate the paper assumes: the
+// iterative MapReduce extension of Twister (Ekanayake et al., reference [12]
+// of the paper), which the consensus trainers require because ADMM repeats
+// Map → Reduce → feedback until convergence.
+//
+// One engine runs every job (RunDistributed). It keeps long-lived Mappers
+// holding their private partitions resident (data locality), broadcasts the
+// consensus state each round, aggregates Mapper contributions through a
+// pluggable — by default privacy-preserving — aggregation protocol, and feeds
+// the combined result back. The same round state machine serves fixed
+// membership (strict), deadline-driven rosters (elastic) and bounded-
+// staleness rounds (async); an in-process job is that engine over a
+// transport.NewInProc network.
 package mapreduce
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
-
-	"github.com/ppml-go/ppml/internal/parallel"
-	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // IterativeMapper is a long-lived Map() task of the Twister-style engine. It
@@ -59,6 +67,9 @@ type WeightedReducer interface {
 	SetRoundWeight(total float64)
 }
 
+// ErrBadJob indicates a malformed job description.
+var ErrBadJob = errors.New("mapreduce: bad job")
+
 // ErrAborted reports that a Mapper failed fatally and the job unwound.
 var ErrAborted = errors.New("mapreduce: job aborted")
 
@@ -106,77 +117,4 @@ type IterativeResult struct {
 	Iterations int
 	// Converged reports whether the Reducer signalled done before the cap.
 	Converged bool
-}
-
-// RunLocalContext executes the job in process, summing contributions
-// directly. Each
-// iteration invokes every Mapper's Contribution concurrently on the parallel
-// worker pool — the same goroutine-per-mapper structure RunDistributed has —
-// then folds the results in mapper order, so the sum (and therefore the whole
-// run) is deterministic and identical to a sequential execution. The
-// trainers' unit tests and the pure-math benchmarks use it. The context is
-// checked at every iteration boundary, so a cancelled training run stops
-// after at most one more round of Contributions instead of running out its
-// budget.
-func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, error) {
-	if err := job.validate(); err != nil {
-		return nil, err
-	}
-	// Telemetry rides in on the context (telemetry.NewContext); with none
-	// attached the handles are nil and every operation is a free no-op.
-	reg := telemetry.FromContext(ctx)
-	reg.Gauge(metricFanout).Set(float64(len(job.Mappers)))
-	rounds := reg.Counter(metricRounds)
-	roundDur := reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets)
-	state := append([]float64(nil), job.InitialState...)
-	res := &IterativeResult{}
-	m := len(job.Mappers)
-	contribs := make([][]float64, m)
-	errs := make([]error, m)
-	sum := make([]float64, job.ContributionDim)
-	for iter := 0; iter < job.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		roundStart := time.Now()
-		_, roundSpan := telemetry.StartSpan(ctx, "round")
-		parallel.For(m, 1, func(lo, hi int) {
-			for mi := lo; mi < hi; mi++ {
-				contribs[mi], errs[mi] = job.Mappers[mi].Contribution(iter, state)
-			}
-		})
-		for j := range sum {
-			sum[j] = 0
-		}
-		for mi := 0; mi < m; mi++ {
-			if err := errs[mi]; err != nil {
-				return nil, fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, mi, iter, err)
-			}
-			contrib := contribs[mi]
-			if len(contrib) != job.ContributionDim {
-				return nil, fmt.Errorf("%w: mapper %d contributed %d values, want %d",
-					ErrBadJob, mi, len(contrib), job.ContributionDim)
-			}
-			for j, v := range contrib {
-				sum[j] += v
-			}
-		}
-		// A round counts once its aggregate exists, same definition as the
-		// distributed driver's.
-		roundSpan.End()
-		roundDur.Observe(time.Since(roundStart).Seconds())
-		rounds.Inc()
-		next, done, err := job.Reducer.Combine(iter, sum)
-		if err != nil {
-			return nil, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)
-		}
-		state = append(state[:0], next...)
-		res.Iterations = iter + 1
-		if done {
-			res.Converged = true
-			break
-		}
-	}
-	res.FinalState = state
-	return res, nil
 }

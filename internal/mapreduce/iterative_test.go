@@ -86,10 +86,20 @@ func newAveragingJob(values [][]float64, maxIter int) (IterativeJob, *averagingR
 	}, red
 }
 
-// runLocal runs the local engine under a background context; the engine's
-// own tests don't exercise cancellation here (see TestRunLocalContextCancel).
+// runLocalContext runs a job the way the trainers' local mode does: the
+// round engine over a private in-process network with plain aggregation.
+func runLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, error) {
+	res, err := RunDistributed(ctx, job, DriverOptions{Aggregation: AggregationPlain})
+	if err != nil {
+		return nil, err
+	}
+	return &res.IterativeResult, nil
+}
+
+// runLocal is runLocalContext under a background context; cancellation is
+// covered by TestRunLocalContextCancel.
 func runLocal(job IterativeJob) (*IterativeResult, error) {
-	return RunLocalContext(context.Background(), job)
+	return runLocalContext(context.Background(), job)
 }
 
 func TestRunLocalConvergesToAverage(t *testing.T) {
@@ -181,6 +191,39 @@ func TestDistributedMatchesLocal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlainAggregationReproducible repeats one plain-aggregation job and
+// requires a bit-identical final state every time. Float64 addition does not
+// associate, so a Reducer that folded shares in arrival order would make the
+// result depend on goroutine scheduling.
+func TestPlainAggregationReproducible(t *testing.T) {
+	const mappers, dim, rounds = 8, 5, 10
+	values := make([][]float64, mappers)
+	for i := range values {
+		values[i] = make([]float64, dim)
+		for j := range values[i] {
+			values[i][j] = math.Pow(10, float64((i+j)%7)) / float64(3+i)
+		}
+	}
+	var first []float64
+	for run := 0; run < 20; run++ {
+		job, red := newAveragingJob(values, rounds)
+		red.tol = 0
+		res, err := RunDistributed(context.Background(), job, DriverOptions{Aggregation: AggregationPlain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res.FinalState
+			continue
+		}
+		for j := range first {
+			if math.Float64bits(res.FinalState[j]) != math.Float64bits(first[j]) {
+				t.Fatalf("run %d: FinalState[%d] = %v, first run %v", run, j, res.FinalState[j], first[j])
+			}
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // statefulMapper keeps per-mapper mutable state across iterations, so the
-// race detector can verify that RunLocal's concurrent Contribution calls
+// race detector can verify that the engine's concurrent Contribution calls
 // never share a mapper between goroutines.
 type statefulMapper struct {
 	data    []float64

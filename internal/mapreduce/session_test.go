@@ -111,7 +111,7 @@ func TestRunLocalContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunLocalContext(ctx, job); !errors.Is(err, context.Canceled) {
+	if _, err := runLocalContext(ctx, job); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -122,8 +122,9 @@ func TestTelemetryPerRoundWiretapParity(t *testing.T) {
 	}
 }
 
-// TestTelemetryLocalEngineRounds checks the in-process engine exports the
-// same round metrics under the same definition as the distributed driver.
+// TestTelemetryLocalEngineRounds checks the local mode (plain aggregation
+// over a private in-process network) exports the round metrics under the
+// same definition as every other mode.
 func TestTelemetryLocalEngineRounds(t *testing.T) {
 	values := [][]float64{{2, 4}, {6, 8}}
 	const rounds = 5
@@ -131,7 +132,7 @@ func TestTelemetryLocalEngineRounds(t *testing.T) {
 	red.tol = 0
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.NewContext(context.Background(), reg)
-	res, err := RunLocalContext(ctx, job)
+	res, err := runLocalContext(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func BenchmarkRoundLoopTelemetry(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				job, red := newAveragingJob(values, 50)
 				red.tol = 0
-				if _, err := RunLocalContext(ctx, job); err != nil {
+				if _, err := runLocalContext(ctx, job); err != nil {
 					b.Fatal(err)
 				}
 			}
