@@ -117,8 +117,8 @@ type hlMapper struct {
 	lambda []float64 // warm start across iterations (mapper-owned copy)
 
 	// Round scratch, allocated once in newHLMapper so steady-state
-	// Contribution calls are allocation-free. opts is prebuilt because every
-	// qp.Option is a closure — constructing them per round would allocate.
+	// Contribution calls are allocation-free. opts is prebuilt so the
+	// variadic option slice is not rebuilt, and allocated, every round.
 	u, p, ylambda []float64
 	qpScratch     qp.Scratch
 	opts          []qp.Option

@@ -35,7 +35,7 @@ type Options struct {
 	// Seed fixes all randomness.
 	Seed int64
 	// Distributed runs every experiment over the simulated cluster with
-	// secure aggregation instead of the in-process engine.
+	// secure aggregation instead of local mode's plain aggregation.
 	Distributed bool
 	// PerRoundMasks selects the paper's literal per-round masking for the
 	// distributed experiments instead of the default seed-derived masks

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full pre-merge gate: standard vet, the repository's own invariant analyzers
 # (cmd/ppml-vet), build, race-enabled tests, a short fuzz pass over the wire
-# codecs, and a one-shot benchmark smoke run so bench code can't rot
-# unnoticed.
+# codecs, a one-shot benchmark smoke run so bench code can't rot
+# unnoticed, and the perfbench module's own tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,6 +57,9 @@ echo "==> bench smoke (Gram + tiled kernels + Paillier packing, 1 iteration)"
 go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
+
+echo "==> perfbench tests (its own module: go test ./... above does not reach it)"
+(cd perfbench && go test ./...)
 
 echo "==> metrics smoke (live -metrics-addr endpoint on a real training run)"
 sh scripts/metrics_smoke.sh
