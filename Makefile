@@ -55,6 +55,7 @@ bench:
 # One-iteration benchmark smoke: verifies bench code still compiles and runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Gram -benchtime 1x ./internal/kernel/
+	$(GO) test -run '^$$' -bench SolveBoxLowRank100Warm -benchtime 1x ./internal/qp/
 
 # Communication measurement: scalability sweep under both mask modes plus
 # the seeded-vs-per-round comparison written to BENCH_comm.json.

@@ -261,7 +261,8 @@ type hkMapper struct {
 	lambda []float64 // warm start across iterations (mapper-owned copy)
 
 	// Round scratch, allocated once so steady-state Contribution calls are
-	// allocation-free; opts is prebuilt because qp.Options are closures.
+	// allocation-free. opts is prebuilt so the variadic option slice is not
+	// rebuilt, and allocated, every round.
 	u, pg, p, ylambda, gu []float64
 	qpScratch             qp.Scratch
 	opts                  []qp.Option

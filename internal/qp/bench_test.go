@@ -1,8 +1,11 @@
 package qp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/ppml-go/ppml/internal/linalg"
 )
 
 func benchProblem(n int, seed int64) (Problem, []float64, float64) {
@@ -75,4 +78,53 @@ func BenchmarkSolveEqualityBox200WSS2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchResult keeps the benchmarked solves observable to the compiler.
+var benchResult *Result
+
+// BenchmarkSolveBoxLowRank100Warm is one HL learner's run of rounds: the
+// joint-box dual η·YXXᵀY + yyᵀ/ρ at M = 4, ρ = 100, C = 50 over n = 100 rows
+// of k = 28 features (a rank-29 Hessian), re-solved for eight rounds of a
+// linear term drifting toward its fixed point, each round warm-started from
+// the last through one Scratch. One op is the whole eight-round sequence.
+func BenchmarkSolveBoxLowRank100Warm(b *testing.B) {
+	const n, k, rounds = 100, 28, 8
+	const rho, c = 100.0, 50.0
+	eta := 4 / (1 + rho*4)
+	rng := rand.New(rand.NewSource(5))
+	q, x, y := hlDualHessian(rng, n, k, eta, rho)
+	// P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 with (u, t) halving its distance to a
+	// fixed point each round, as the consensus iterate does.
+	ps := make([][]float64, rounds)
+	u := make([]float64, k)
+	for r := range ps {
+		scale := math.Pow(0.5, float64(r))
+		for j := range u {
+			u[j] = 0.05 + scale*0.05*rng.NormFloat64()
+		}
+		t := scale * 0.1 * rng.NormFloat64()
+		ps[r] = make([]float64, n)
+		for i := range ps[r] {
+			ps[r][i] = eta*rho*y[i]*linalg.Dot(x.Row(i), u) + t*y[i] - 1
+		}
+	}
+	var scr Scratch
+	warm := make([]float64, n)
+	opts := []Option{WithScratch(&scr), WithWarmStart(warm)}
+	iters := 0
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		linalg.Zero(warm)
+		for _, p := range ps {
+			res, err := SolveBox(Problem{Q: q, P: p, C: c}, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			copy(warm, res.Lambda)
+			iters += res.Iterations
+			benchResult = res
+		}
+	}
+	b.ReportMetric(float64(iters)/float64(b.N*rounds), "iters/solve")
 }

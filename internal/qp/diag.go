@@ -77,15 +77,12 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 	lambda, res := cfg.takeLambda(n)
 	diagLambdaAt(nu, q0, c, p, y, lambda)
 	// Exact-equality repair of the residual caused by the finite bisection.
-	got := 0.0
-	for i := range lambda {
-		got += y[i] * lambda[i]
-	}
-	viol := math.Abs(got - d)
+	viol := equalityResidual(lambda, y, d)
 	if viol > 1e-9*(1+math.Abs(d)) {
 		if err := repairEquality(lambda, y, d, c); err != nil {
 			return nil, err
 		}
+		viol = equalityResidual(lambda, y, d)
 	}
 	res.Lambda = lambda
 	res.Iterations = iterations
@@ -93,6 +90,15 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 	res.Converged = true
 	cfg.record("diag", res)
 	return res, nil
+}
+
+// equalityResidual is |yᵀλ − d|, the gap the diagonal solver reports.
+func equalityResidual(lambda, y []float64, d float64) float64 {
+	got := 0.0
+	for i := range lambda {
+		got += y[i] * lambda[i]
+	}
+	return math.Abs(got - d)
 }
 
 // diagLambdaAt evaluates λ(ν) = clip((−p − ν·y)/q0, 0, C) into dst. A

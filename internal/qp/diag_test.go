@@ -120,3 +120,42 @@ func TestDiagLargeProblemFast(t *testing.T) {
 		t.Errorf("yᵀλ = %g, want 0", sum)
 	}
 }
+
+// TestDiagReportsResidualAfterRepair cuts the bisection short so the
+// exact-equality repair must fire, then checks that KKTViolation is the
+// |yᵀλ − d| of the returned λ, the final gap, not the residual the repair
+// started from.
+func TestDiagReportsResidualAfterRepair(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	n := 50
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = rng.NormFloat64() * 3
+	}
+	y := randomLabels(rng, n)
+	const c, q0 = 2.0, 0.5
+	x := randomFeasibleBox(rng, n, c)
+	d := 0.0
+	for i := range x {
+		d += y[i] * x[i]
+	}
+	// One bisection step leaves ν far from the root, so yᵀλ(ν) misses d.
+	res, err := SolveUniformDiagEqualityBox(q0, p, c, y, d, WithMaxIter(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i, v := range res.Lambda {
+		if v < 0 || v > c {
+			t.Fatalf("λ[%d] = %g outside [0, %g]", i, v, c)
+		}
+		sum += y[i] * v
+	}
+	gap := math.Abs(sum - d)
+	if gap > 1e-9*(1+math.Abs(d)) {
+		t.Fatalf("repair left |yᵀλ − d| = %g", gap)
+	}
+	if res.KKTViolation != gap {
+		t.Errorf("KKTViolation = %g, want the final residual %g", res.KKTViolation, gap)
+	}
+}

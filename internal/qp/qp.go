@@ -8,8 +8,9 @@
 // SolveBox uses Gauss–Southwell projected coordinate descent (greedy exact
 // line search per coordinate); SolveEqualityBox uses sequential minimal
 // optimization with maximal-violating-pair working-set selection, the same
-// scheme popularized by LIBSVM. Both maintain the gradient incrementally so
-// one step costs O(n).
+// scheme popularized by LIBSVM. Both maintain the gradient incrementally and
+// make one fused pass over n per step: the pass that applies the step to the
+// gradient also selects the next working set.
 package qp
 
 import (
@@ -252,17 +253,11 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 	var stuck []bool
 	stuckCount := 0
 	res.Lambda = lambda
+	// Gauss–Southwell: each step moves the coordinate with the largest
+	// projected gradient. boxStep picks the next one while it applies the
+	// step to the gradient, so only the start and the stuck path scan alone.
+	best := selectCoordinate(grad, lambda, p.C, cfg.tol, nil)
 	for res.Iterations = 0; res.Iterations < cfg.maxIter; res.Iterations++ {
-		// Gauss–Southwell: the coordinate with the largest projected gradient.
-		best, bestViol := -1, cfg.tol
-		for i := 0; i < n; i++ {
-			if stuckCount > 0 && stuck[i] {
-				continue
-			}
-			if v := math.Abs(projectedGradient(grad[i], lambda[i], p.C)); v > bestViol {
-				best, bestViol = i, v
-			}
-		}
 		if best < 0 {
 			// No movable violator above tolerance; final bookkeeping below
 			// decides Converged from the full (stuck included) KKT gap.
@@ -285,17 +280,19 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 			}
 			stuck[i] = true
 			stuckCount++
+			best = selectCoordinate(grad, lambda, p.C, cfg.tol, stuck)
 			continue
 		}
 		lambda[i] = target
-		linalg.Axpy(delta, p.Q.Row(i), grad)
 		if stuckCount > 0 {
-			// Gradients changed; pinned coordinates may be free again.
+			// The step changes every gradient; pinned coordinates may be
+			// free again.
 			for j := range stuck {
 				stuck[j] = false
 			}
 			stuckCount = 0
 		}
+		best = boxStep(delta, p.Q.Row(i), grad, lambda, p.C, cfg.tol)
 	}
 	res.KKTViolation = maxProjectedGradient(grad, lambda, p.C)
 	res.Converged = res.KKTViolation <= cfg.tol
@@ -336,13 +333,11 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 	defer cfg.dropGrad(grad)
 
 	res.Lambda = lambda
+	sel := scanPairs(grad, lambda, y, p.C)
 	for res.Iterations = 0; res.Iterations < cfg.maxIter; res.Iterations++ {
-		var i, j int
-		var viol float64
+		i, j, viol := sel.violatingPair()
 		if cfg.secondOrder {
-			i, j, viol = selectSecondOrderPair(&p, grad, lambda, y)
-		} else {
-			i, j, viol = selectViolatingPair(grad, lambda, y, p.C)
+			i, j, viol = secondOrderPair(&p, grad, lambda, y, sel)
 		}
 		res.KKTViolation = viol
 		if viol <= cfg.tol {
@@ -369,10 +364,9 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 		lambda[j] -= y[j] * t
 		lambda[i] = linalg.Clamp(lambda[i], 0, p.C)
 		lambda[j] = linalg.Clamp(lambda[j], 0, p.C)
-		linalg.Axpy(y[i]*t, p.Q.Row(i), grad)
-		linalg.Axpy(-y[j]*t, p.Q.Row(j), grad)
+		sel = pairStep(y[i]*t, p.Q.Row(i), -y[j]*t, p.Q.Row(j), grad, lambda, y, p.C)
 	}
-	_, _, res.KKTViolation = selectViolatingPair(grad, lambda, y, p.C)
+	_, _, res.KKTViolation = sel.violatingPair()
 	res.Converged = res.KKTViolation <= cfg.tol
 	cfg.record("smo", res)
 	return res, nil
@@ -387,46 +381,79 @@ func stepMax(li, dir, c float64) float64 {
 	return li
 }
 
-// selectViolatingPair implements first-order maximal-violating-pair working
-// set selection. It returns indices i ∈ I_up maximizing −y_i g_i and
-// j ∈ I_low minimizing −y_j g_j, and the violation m − M (≤ 0 at optimality).
-func selectViolatingPair(grad, lambda, y []float64, c float64) (i, j int, violation float64) {
-	up, low := -1, -1
-	m, mm := math.Inf(-1), math.Inf(1)
-	for k := range lambda {
-		f := -y[k] * grad[k]
-		inUp := (y[k] > 0 && lambda[k] < c) || (y[k] < 0 && lambda[k] > 0)
-		inLow := (y[k] < 0 && lambda[k] < c) || (y[k] > 0 && lambda[k] > 0)
-		if inUp && f > m {
-			m, up = f, k
-		}
-		if inLow && f < mm {
-			mm, low = f, k
-		}
-	}
-	if up < 0 || low < 0 {
-		return 0, 0, 0 // box fully binds; no feasible direction, KKT holds
-	}
-	return up, low, m - mm
+// pairScan holds the first-order working-set statistics of one pass over the
+// gradient, with f_k = −y_k g_k: up maximizes f over I_up (value m) and low
+// minimizes it over I_low (value mm); −1 when the set is empty. Ties go to
+// the first index.
+type pairScan struct {
+	up, low int
+	m, mm   float64
 }
 
-// selectSecondOrderPair implements LIBSVM's WSS2 rule: i maximizes −y_i g_i
-// over I_up, then j minimizes the one-step objective −(m − f_j)²/(2 a_ij)
-// over violating I_low candidates, where a_ij = Q_ii + Q_jj − 2 y_i y_j Q_ij.
-// The reported violation is the first-order gap m − M, so the stopping
-// criterion is identical to the first-order solver's.
-func selectSecondOrderPair(p *Problem, grad, lambda, y []float64) (i, j int, violation float64) {
-	c := p.C
-	up := -1
-	m := math.Inf(-1)
-	for k := range lambda {
-		inUp := (y[k] > 0 && lambda[k] < c) || (y[k] < 0 && lambda[k] > 0)
-		if inUp {
-			if f := -y[k] * grad[k]; f > m {
-				m, up = f, k
-			}
-		}
+// inUp and inLow report membership of I_up and I_low: the coordinates along
+// which f may still rise (resp. fall) without leaving [0, C].
+func inUp(yk, lk, c float64) bool  { return (yk > 0 && lk < c) || (yk < 0 && lk > 0) }
+func inLow(yk, lk, c float64) bool { return (yk < 0 && lk < c) || (yk > 0 && lk > 0) }
+
+// newPairScan is the scan of no coordinates.
+func newPairScan() pairScan { return pairScan{up: -1, low: -1, m: math.Inf(-1), mm: math.Inf(1)} }
+
+// observe folds coordinate k, with f = −y_k g_k, into the scan. It compares
+// f with the running extreme first, a test that seldom passes, so the
+// branches on the labels, which follow no pattern, seldom run.
+func (s pairScan) observe(k int, f, yk, lk, c float64) pairScan {
+	if f > s.m && inUp(yk, lk, c) {
+		s.m, s.up = f, k
 	}
+	if f < s.mm && inLow(yk, lk, c) {
+		s.mm, s.low = f, k
+	}
+	return s
+}
+
+// scanPairs is the selection pass on its own, for the starting point.
+func scanPairs(grad, lambda, y []float64, c float64) pairScan {
+	s := newPairScan()
+	for k := range lambda {
+		s = s.observe(k, -y[k]*grad[k], y[k], lambda[k], c)
+	}
+	return s
+}
+
+// pairStep applies an accepted SMO step, grad += ai·ri + aj·rj, and selects
+// the next working set in the same pass. Each element takes row i's term and
+// then row j's, the order of two successive Axpy calls, so the gradient is
+// bit-identical to updating it one row at a time.
+func pairStep(ai float64, ri []float64, aj float64, rj []float64, grad, lambda, y []float64, c float64) pairScan {
+	s := newPairScan()
+	ri, rj, lambda, y = ri[:len(grad)], rj[:len(grad)], lambda[:len(grad)], y[:len(grad)]
+	for k := range grad {
+		grad[k] += ai * ri[k]
+		grad[k] += aj * rj[k]
+		s = s.observe(k, -y[k]*grad[k], y[k], lambda[k], c)
+	}
+	return s
+}
+
+// violatingPair is first-order maximal-violating-pair working-set selection:
+// i ∈ I_up maximizing −y_i g_i, j ∈ I_low minimizing −y_j g_j, and the
+// violation m − M (≤ 0 at optimality).
+func (s pairScan) violatingPair() (i, j int, violation float64) {
+	if s.up < 0 || s.low < 0 {
+		return 0, 0, 0 // box fully binds; no feasible direction, KKT holds
+	}
+	return s.up, s.low, s.m - s.mm
+}
+
+// secondOrderPair implements LIBSVM's WSS2 rule on top of a first-order
+// scan: i is the scan's maximal I_up violator, then j minimizes the one-step
+// objective −(m − f_j)²/(2 a_ij) over violating I_low candidates, where
+// a_ij = Q_ii + Q_jj − 2 y_i y_j Q_ij; only this scan over Q's row i is a
+// second pass. The reported violation is the first-order gap m − M, so the
+// stopping criterion is identical to the first-order solver's.
+func secondOrderPair(p *Problem, grad, lambda, y []float64, s pairScan) (i, j int, violation float64) {
+	c := p.C
+	up, m := s.up, s.m
 	if up < 0 {
 		return 0, 0, 0
 	}
@@ -434,16 +461,11 @@ func selectSecondOrderPair(p *Problem, grad, lambda, y []float64) (i, j int, vio
 	qRow := p.Q.Row(up)
 	best := -1
 	bestGain := math.Inf(1) // most negative objective change wins
-	mm := math.Inf(1)
 	for k := range lambda {
-		inLow := (y[k] < 0 && lambda[k] < c) || (y[k] > 0 && lambda[k] > 0)
-		if !inLow {
+		if !inLow(y[k], lambda[k], c) {
 			continue
 		}
 		f := -y[k] * grad[k]
-		if f < mm {
-			mm = f
-		}
 		diff := m - f
 		if diff <= 0 {
 			continue // not a violating partner
@@ -459,7 +481,7 @@ func selectSecondOrderPair(p *Problem, grad, lambda, y []float64) (i, j int, vio
 	if best < 0 {
 		return 0, 0, 0
 	}
-	return up, best, m - mm
+	return up, best, m - s.mm
 }
 
 // repairEquality adjusts λ in place, minimally in the ∞-norm sense, so that
@@ -521,9 +543,9 @@ func putGradBuf(g []float64) {
 	gradPool.Put(&g)
 }
 
-// gradient computes Qλ + p into the pooled buffer g (len(p.P) elements). For
-// an all-zero λ it avoids the matrix-vector product entirely, the common
-// cold-start case.
+// gradient computes Qλ + p into g (len(p.P) elements), a pooled or
+// scratch-owned buffer. For an all-zero λ it avoids the matrix-vector product
+// entirely, the common cold-start case.
 func gradient(p *Problem, lambda, g []float64) []float64 {
 	copy(g, p.P)
 	for i, v := range lambda {
@@ -536,16 +558,55 @@ func gradient(p *Problem, lambda, g []float64) []float64 {
 
 // projectedGradient maps the raw gradient onto the feasible directions of the
 // box at the current point: zero when the gradient pushes into an active
-// bound.
+// bound. It runs once per element of every step, so it is written with
+// comparisons the compiler inlines rather than math.Min/math.Max, which are
+// assembly calls on amd64. It agrees with min(g, 0) and max(g, 0) taken by
+// those functions on every input, NaN included, up to the sign of a zero
+// result, which |·| and the solvers' comparisons ignore.
 func projectedGradient(g, li, c float64) float64 {
 	switch {
 	case li <= 0:
-		return math.Min(g, 0)
+		if g >= 0 {
+			return 0
+		}
 	case li >= c:
-		return math.Max(g, 0)
-	default:
-		return g
+		if g <= 0 {
+			return 0
+		}
 	}
+	return g
+}
+
+// selectCoordinate is the Gauss–Southwell selection on its own: the first
+// coordinate whose projected gradient exceeds tol by the most, or −1 when
+// none does. Coordinates marked in skip (nil for none) are passed over.
+func selectCoordinate(grad, lambda []float64, c, tol float64, skip []bool) int {
+	best, bestViol := -1, tol
+	for i := range grad {
+		if skip != nil && skip[i] {
+			continue
+		}
+		if v := math.Abs(projectedGradient(grad[i], lambda[i], c)); v > bestViol {
+			best, bestViol = i, v
+		}
+	}
+	return best
+}
+
+// boxStep applies an accepted coordinate step, grad += delta·row, and in the
+// same pass returns the next Gauss–Southwell coordinate: selectCoordinate of
+// the updated gradient, with nothing skipped. The update is Axpy's own
+// expression, so the gradient is bit-identical to a separate Axpy.
+func boxStep(delta float64, row, grad, lambda []float64, c, tol float64) int {
+	best, bestViol := -1, tol
+	row, lambda = row[:len(grad)], lambda[:len(grad)]
+	for j := range grad {
+		grad[j] += delta * row[j]
+		if v := math.Abs(projectedGradient(grad[j], lambda[j], c)); v > bestViol {
+			best, bestViol = j, v
+		}
+	}
+	return best
 }
 
 func maxProjectedGradient(grad, lambda []float64, c float64) float64 {

@@ -53,9 +53,10 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + tiled kernels + Paillier packing, 1 iteration)"
+echo "==> bench smoke (Gram + tiled kernels + local QP solve + Paillier packing, 1 iteration)"
 go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
+go test -run '^$' -bench SolveBoxLowRank100Warm -benchtime 1x ./internal/qp/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 
 echo "==> perfbench tests (its own module: go test ./... above does not reach it)"
